@@ -6,7 +6,7 @@ use secemb::{GeneratorSpec, Technique};
 use secemb_serve::{Client, Engine, EngineConfig, Request, Server, TableConfig};
 use secemb_tensor::Matrix;
 use secemb_wire::json;
-use std::sync::Arc;
+use std::sync::{mpsc, Arc};
 use std::time::{Duration, Instant};
 
 const DIM: usize = 8;
@@ -171,10 +171,15 @@ fn replicated_swap_never_mixes_epochs_across_replicas() {
     let new_seen_target = 20;
     let deadline = Instant::now() + Duration::from_secs(30);
     let engine_ref = &engine;
+    // Each submitter signals once it has seen its first old-epoch
+    // output; the plan is applied only after every one has, so each is
+    // guaranteed to observe the startup plan however threads schedule.
+    let (seen_old_tx, seen_old_rx) = mpsc::channel::<()>();
     let transitions: Vec<(u64, u64)> = std::thread::scope(|s| {
         let handles: Vec<_> = submitters
             .iter()
             .map(|(table, indices)| {
+                let seen_old_tx = seen_old_tx.clone();
                 s.spawn(move || {
                     let old = reference(*table, Technique::LinearScan, indices);
                     let new = reference(*table, Technique::Dhe, indices);
@@ -190,6 +195,9 @@ fn replicated_swap_never_mixes_epochs_across_replicas() {
                                  a replica swapped late"
                             );
                             old_seen += 1;
+                            if old_seen == 1 {
+                                let _ = seen_old_tx.send(());
+                            }
                         } else if got == new {
                             new_seen += 1;
                         } else {
@@ -200,7 +208,15 @@ fn replicated_swap_never_mixes_epochs_across_replicas() {
                 })
             })
             .collect();
-        std::thread::sleep(Duration::from_millis(30));
+        drop(seen_old_tx);
+        // A submitter that dies before signalling drops its sender, so
+        // this never blocks past the threads' own deadline; the join
+        // below then reports the panic.
+        for _ in 0..submitters.len() {
+            if seen_old_rx.recv().is_err() {
+                break;
+            }
+        }
         let epoch = engine.apply_plan(&dhe_flip_plan(1)).expect("valid plan");
         assert_eq!(epoch, 1);
         handles.into_iter().map(|h| h.join().unwrap()).collect()

@@ -15,10 +15,9 @@
 //!
 //! `--tiny` shrinks tables, rates and durations to a seconds-long smoke
 //! run for CI; the numbers it prints are not meaningful measurements.
-//! `--reactor` serves connections from the epoll reactor backend instead
-//! of two threads per connection, and `--idle-conns N` parks N silent
-//! connections on the server for the whole sweep — together they are the
-//! connections-vs-p99 experiment in EXPERIMENTS.md.
+//! `--idle-conns N` parks N silent connections on the server's reactor
+//! for the whole sweep — the connections-vs-p99 experiment in
+//! EXPERIMENTS.md.
 //!
 //! Telemetry: `--telemetry-out FILE` appends a JSONL registry snapshot
 //! after every sweep point; `--no-telemetry` disables the registry for
@@ -31,7 +30,7 @@ use secemb::GeneratorSpec;
 use secemb_adapt::{AdaptConfig, AdaptiveController};
 use secemb_bench::{drift_gauges_json, print_table, SCALE_NOTE};
 use secemb_serve::loadgen::{run_load, LoadConfig, Schedule};
-use secemb_serve::{BatchPolicy, ConnectionBackend, Engine, EngineConfig, Server, TableConfig};
+use secemb_serve::{BatchPolicy, Engine, EngineConfig, Server, TableConfig};
 use secemb_telemetry::JsonlExporter;
 use std::sync::Arc;
 use std::time::Duration;
@@ -55,21 +54,12 @@ fn main() {
         flag_value("--pipeline-depth").map_or(1, |v| v.parse().expect("--pipeline-depth K"));
     let idle_conns: usize =
         flag_value("--idle-conns").map_or(0, |v| v.parse().expect("--idle-conns N"));
-    let backend = if std::env::args().any(|a| a == "--reactor") {
-        ConnectionBackend::Reactor
-    } else {
-        ConnectionBackend::Threaded
-    };
     assert!(replicas > 0, "--replicas must be positive");
     assert!(pipeline_depth > 0, "--pipeline-depth must be positive");
     println!("Fig. 13 (serving): latency-throughput sweep, hybrid backend, 20 ms SLA");
     println!(
         "replicas/table: {replicas}, pipeline depth/connection: {pipeline_depth}, \
-         idle connections: {idle_conns}, backend: {}",
-        match backend {
-            ConnectionBackend::Threaded => "threaded",
-            ConnectionBackend::Reactor => "reactor",
-        }
+         idle connections: {idle_conns}"
     );
     if !telemetry {
         println!("telemetry: disabled (overhead A/B run)");
@@ -122,8 +112,7 @@ fn main() {
             info.rows, info.dim, info.technique, info.per_query_ns
         );
     }
-    let server = Server::start_with(Arc::clone(&engine), "127.0.0.1:0", backend)
-        .expect("bind ephemeral port");
+    let server = Server::start(Arc::clone(&engine), "127.0.0.1:0").expect("bind ephemeral port");
     let addr = server.addr();
     let _exporter = telemetry_out.as_ref().map(|path| {
         let interval = Duration::from_millis(if tiny { 100 } else { 500 });

@@ -1,11 +1,9 @@
 //! The router front-end: the unmodified serving protocol on the client
 //! side, a pipelined backend fleet behind it.
 //!
-//! Client connections run on either of the serving layer's connection
-//! backends — thread-per-connection reader/writer pairs, or every
-//! connection multiplexed onto one epoll
-//! [`FrameReactor`](secemb_serve::reactor::FrameReactor) thread
-//! ([`RouterConfig::reactor`]) — but dispatch resolves against the
+//! Client connections are multiplexed onto one epoll
+//! [`FrameReactor`](secemb_serve::reactor::FrameReactor) thread, as in
+//! the single-host server, but dispatch resolves against the
 //! [`Placement`] instead of a local engine: a `Generate`
 //! goes to the host owning its table; a `GenerateMulti` is split into
 //! per-host groups, fanned out concurrently, and re-assembled **in part
@@ -22,11 +20,10 @@ use crate::backend::{Backend, BackendOptions, ReconnectPolicy};
 use crate::gossip::{gossip_once, GossipReport};
 use crate::lock_unpoisoned;
 use crate::placement::Placement;
-use mio::{Events, Interest, Poll, Token, Waker};
 use secemb::hybrid::AllocationPlan;
 use secemb_serve::protocol::{
-    decode_client_traced, encode_metrics, encode_plan, encode_plan_ack, encode_response,
-    encode_response_traced, encode_stats, encode_table_list, encode_traces, ClientMsg, ServerMsg,
+    decode_client_traced, encode_metrics, encode_plan, encode_plan_ack, encode_response_traced,
+    encode_stats, encode_table_list, encode_traces, ClientMsg, ServerMsg,
 };
 use secemb_serve::reactor::{Dispatch, FrameReactor, ReactorConfig};
 use secemb_serve::{RejectReason, ReplySender, Response, TraceSettings};
@@ -34,14 +31,13 @@ use secemb_telemetry::{
     Counter, Gauge, Histogram, Registry, SpanCollector, SpanRecord, StageBreakdown, TraceCtx,
 };
 use secemb_tensor::Matrix;
-use secemb_wire::frame::{read_frame, write_frame, FrameError};
 use secemb_wire::json::{self, Value};
 use std::collections::HashMap;
-use std::io::{self, BufReader, BufWriter, Write};
-use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
+use std::io;
+use std::net::SocketAddr;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{mpsc, Arc, Mutex};
+use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
@@ -60,15 +56,18 @@ pub struct RouterConfig {
     /// Where the winning plan's crossovers are persisted (in the
     /// `ProfileArtifact` format) after each gossip round.
     pub profile_out: Option<PathBuf>,
-    /// Serve client connections on the epoll reactor (one thread for
-    /// all connections) instead of thread-per-connection.
+    /// Must be `true` (the default): client connections always run on
+    /// the epoll reactor, and [`Router::start`] rejects `false` with
+    /// `InvalidInput`. Kept only for existing callers; the next
+    /// benchmark change removes it.
+    #[doc(hidden)]
     pub reactor: bool,
     /// Declare a backend dead when requests are in flight and it sends
     /// nothing for this long (see [`crate::Backend::connect_with`]);
     /// `None` waits forever (the historical behavior).
     pub backend_idle_timeout: Option<Duration>,
     /// Reap idle *client* connections after this long with no socket
-    /// activity (reactor frontend only); `None` never reaps.
+    /// activity; `None` never reaps.
     pub conn_idle: Option<Duration>,
     /// Distributed-tracing settings for the router's own span collector
     /// (host label, head-sampling rate). `None` collects nothing; the
@@ -100,7 +99,7 @@ impl Default for RouterConfig {
             backends: Vec::new(),
             gossip_interval: None,
             profile_out: None,
-            reactor: false,
+            reactor: true,
             backend_idle_timeout: None,
             conn_idle: None,
             trace: None,
@@ -121,7 +120,6 @@ struct RouterMetrics {
     route_ns: Arc<Histogram>,
     merge_ns: Arc<Histogram>,
     write_ns: Arc<Histogram>,
-    accept_spawn_failures: Arc<Counter>,
     gossip_rounds_total: Arc<Counter>,
     gossip_pushes_total: Arc<Counter>,
     gossip_spawn_failures: Arc<Counter>,
@@ -147,7 +145,6 @@ impl RouterMetrics {
             route_ns: registry.histogram("router_route_ns"),
             merge_ns: registry.histogram("router_merge_ns"),
             write_ns: registry.histogram("router_write_ns"),
-            accept_spawn_failures: registry.counter("router_accept_spawn_failures_total"),
             gossip_rounds_total: registry.counter("router_gossip_rounds_total"),
             gossip_pushes_total: registry.counter("router_gossip_pushes_total"),
             gossip_spawn_failures: registry.counter("router_gossip_spawn_failures_total"),
@@ -289,37 +286,18 @@ impl Inner {
     }
 }
 
-/// One live client connection (see `Server` in `secemb-serve`).
-struct Connection {
-    handle: JoinHandle<()>,
-    stream: TcpStream,
-}
-
 /// A running router. Dropping (or [`Router::shutdown`]) stops the
-/// accept loop, closes every client connection, joins every thread, and
-/// disconnects the backends.
+/// client reactor, closes every client connection, joins every thread,
+/// and disconnects the backends.
 pub struct Router {
     inner: Arc<Inner>,
     addr: SocketAddr,
     stop: Arc<AtomicBool>,
-    frontend: Frontend,
+    /// The client-facing reactor; `None` once shut down.
+    frontend: Option<FrameReactor>,
     gossip_handle: Option<JoinHandle<()>>,
     health_handle: Option<JoinHandle<()>>,
 }
-
-/// The client-facing connection machinery (mirrors the serving layer's
-/// `ConnectionBackend`).
-enum Frontend {
-    Threaded {
-        waker: Arc<Waker>,
-        accept_handle: Option<JoinHandle<()>>,
-        connections: Arc<Mutex<Vec<Connection>>>,
-    },
-    Reactor(Option<FrameReactor>),
-}
-
-const ACCEPT_LISTENER: Token = Token(0);
-const ACCEPT_WAKE: Token = Token(1);
 
 impl Router {
     /// Connects to every backend (tolerating peers that are down — they
@@ -330,11 +308,18 @@ impl Router {
     ///
     /// # Errors
     ///
-    /// Returns bind errors, `ConnectionRefused` if *no* backend is
+    /// Returns bind errors, `InvalidInput` for an empty backend list or
+    /// `reactor: false`, `ConnectionRefused` if *no* backend is
     /// reachable at startup (the inventory must come from somewhere),
     /// or `InvalidData` if reachable backends' inventories disagree
     /// (they must be replicas of one table set).
     pub fn start(config: RouterConfig) -> io::Result<Router> {
+        if !config.reactor {
+            return Err(io::Error::new(
+                io::ErrorKind::InvalidInput,
+                "RouterConfig::reactor must be true: the epoll reactor is the only front end",
+            ));
+        }
         if config.backends.is_empty() {
             return Err(io::Error::new(
                 io::ErrorKind::InvalidInput,
@@ -428,78 +413,31 @@ impl Router {
         });
         // SO_REUSEADDR bind: a router restarted onto its old port must
         // not spend a TIME_WAIT minute in EADDRINUSE.
-        let bind_addr = {
-            use std::net::ToSocketAddrs;
-            config
-                .bind
-                .as_str()
-                .to_socket_addrs()?
-                .next()
-                .ok_or_else(|| {
-                    io::Error::new(
-                        io::ErrorKind::InvalidInput,
-                        "bind address resolves to nothing",
-                    )
-                })?
-        };
-        let listener = mio::net::bind_reusable(bind_addr)?;
+        let listener = secemb_serve::bind_reusable(&config.bind)?;
         let addr = listener.local_addr()?;
         let stop = Arc::new(AtomicBool::new(false));
-        let frontend = if config.reactor {
-            // Every client connection multiplexed onto one reactor
-            // thread; dispatch is shared with the threaded path below.
-            let inner_factory = Arc::clone(&inner);
-            let write_ns = Arc::clone(&inner.metrics.write_ns);
-            let reactor_config = ReactorConfig {
+        let inner_factory = Arc::clone(&inner);
+        let write_ns = Arc::clone(&inner.metrics.write_ns);
+        let frontend = FrameReactor::start(
+            listener,
+            Box::new(move |_conn| {
+                let inner = Arc::clone(&inner_factory);
+                Box::new(move |payload: &[u8], replies: &ReplySender| {
+                    match decode_client_traced(payload) {
+                        Ok((id, msg, trace)) => {
+                            dispatch(&inner, replies, id, msg, trace);
+                            true
+                        }
+                        Err(_) => false,
+                    }
+                }) as Dispatch
+            }),
+            Box::new(move |ns| write_ns.record(ns)),
+            ReactorConfig {
                 registry: Some(Arc::clone(&inner.registry)),
                 idle_timeout: config.conn_idle,
-            };
-            let reactor =
-                FrameReactor::start_with(
-                    listener,
-                    Box::new(move |_conn| {
-                        let inner = Arc::clone(&inner_factory);
-                        Box::new(move |payload: &[u8], replies: &ReplySender| {
-                            match decode_client_traced(payload) {
-                                Ok((id, msg, trace)) => {
-                                    dispatch(&inner, replies, id, msg, trace);
-                                    true
-                                }
-                                Err(_) => false,
-                            }
-                        }) as Dispatch
-                    }),
-                    Box::new(move |ns| write_ns.record(ns)),
-                    reactor_config,
-                )?;
-            Frontend::Reactor(Some(reactor))
-        } else {
-            // The threaded accept loop polls a nonblocking listener plus
-            // a wakeup fd — shutdown is a waker call, not the old
-            // throwaway self-connection.
-            listener.set_nonblocking(true)?;
-            let poll = Poll::new()?;
-            poll.registry()
-                .register(&listener, ACCEPT_LISTENER, Interest::READABLE)?;
-            let waker = Arc::new(Waker::new(poll.registry(), ACCEPT_WAKE)?);
-            let connections = Arc::new(Mutex::new(Vec::<Connection>::new()));
-            let accept_handle = {
-                let stop = Arc::clone(&stop);
-                let waker = Arc::clone(&waker);
-                let connections = Arc::clone(&connections);
-                let inner = Arc::clone(&inner);
-                std::thread::Builder::new()
-                    .name("secemb-rt-accept".into())
-                    .spawn(move || {
-                        accept_loop(poll, &listener, &inner, &stop, &waker, &connections)
-                    })?
-            };
-            Frontend::Threaded {
-                waker,
-                accept_handle: Some(accept_handle),
-                connections,
-            }
-        };
+            },
+        )?;
         let gossip_handle = match config.gossip_interval {
             Some(interval) => {
                 let spawned = if config.inject_gossip_spawn_failure {
@@ -524,9 +462,7 @@ impl Router {
                     Err(_) => {
                         // Thread exhaustion must not abort a router that
                         // can otherwise serve: count it and degrade to
-                        // inline gossip on the stats/metrics tick
-                        // (mirrors the accept-path spawn-failure
-                        // handling).
+                        // inline gossip on the stats/metrics tick.
                         inner.metrics.gossip_spawn_failures.inc();
                         inner.inline_gossip.store(true, Ordering::Relaxed);
                         None
@@ -561,7 +497,7 @@ impl Router {
             inner,
             addr,
             stop,
-            frontend,
+            frontend: Some(frontend),
             gossip_handle,
             health_handle,
         })
@@ -581,6 +517,11 @@ impl Router {
     /// The bound client-facing address.
     pub fn addr(&self) -> SocketAddr {
         self.addr
+    }
+
+    /// Client connections currently open.
+    pub fn connections(&self) -> u64 {
+        self.frontend.as_ref().map_or(0, FrameReactor::connections)
     }
 
     /// The table → host placement the router serves with.
@@ -609,7 +550,7 @@ impl Router {
         self.inner.gossip()
     }
 
-    /// Stops accepting, drains every client connection, and joins all
+    /// Stops accepting, closes every client connection, and joins all
     /// router threads.
     pub fn shutdown(mut self) {
         self.stop_and_join();
@@ -619,29 +560,8 @@ impl Router {
         if self.stop.swap(true, Ordering::Relaxed) {
             return;
         }
-        match &mut self.frontend {
-            Frontend::Threaded {
-                waker,
-                accept_handle,
-                connections,
-            } => {
-                let _ = waker.wake();
-                if let Some(handle) = accept_handle.take() {
-                    let _ = handle.join();
-                }
-                let mut conns = lock_unpoisoned(connections);
-                for conn in conns.iter() {
-                    let _ = conn.stream.shutdown(Shutdown::Both);
-                }
-                for conn in conns.drain(..) {
-                    let _ = conn.handle.join();
-                }
-            }
-            Frontend::Reactor(reactor) => {
-                if let Some(reactor) = reactor.take() {
-                    reactor.shutdown();
-                }
-            }
+        if let Some(reactor) = self.frontend.take() {
+            reactor.shutdown();
         }
         if let Some(handle) = self.gossip_handle.take() {
             let _ = handle.join();
@@ -693,137 +613,6 @@ fn health_tick(inner: &Arc<Inner>) {
 impl Drop for Router {
     fn drop(&mut self) {
         self.stop_and_join();
-    }
-}
-
-type Reply = (Instant, Vec<u8>);
-
-/// Threaded frontend's accept loop: blocks in epoll (zero idle CPU),
-/// wakes on listener readiness or the shutdown waker, and spawns a
-/// handler per client connection.
-fn accept_loop(
-    mut poll: Poll,
-    listener: &TcpListener,
-    inner: &Arc<Inner>,
-    stop: &AtomicBool,
-    waker: &Waker,
-    connections: &Arc<Mutex<Vec<Connection>>>,
-) {
-    let mut events = Events::with_capacity(64);
-    loop {
-        if poll.poll(&mut events, None).is_err() {
-            if stop.load(Ordering::SeqCst) {
-                break;
-            }
-            std::thread::sleep(Duration::from_millis(10));
-            continue;
-        }
-        if stop.load(Ordering::SeqCst) {
-            break;
-        }
-        if events.iter().any(|e| e.token() == ACCEPT_WAKE) {
-            waker.drain();
-        }
-        loop {
-            match listener.accept() {
-                Ok((stream, _)) => {
-                    if stream.set_nonblocking(false).is_err() {
-                        continue;
-                    }
-                    let mut conns = lock_unpoisoned(connections);
-                    conns.retain(|c| !c.handle.is_finished());
-                    let Ok(server_side) = stream.try_clone() else {
-                        continue;
-                    };
-                    let inner_conn = Arc::clone(inner);
-                    let spawned = std::thread::Builder::new()
-                        .name("secemb-rt-conn".into())
-                        .spawn(move || {
-                            let _ = handle_client(&inner_conn, stream);
-                        });
-                    match spawned {
-                        Ok(handle) => conns.push(Connection {
-                            handle,
-                            stream: server_side,
-                        }),
-                        Err(_) => {
-                            // Thread exhaustion: count it and give the
-                            // client a best-effort reject instead of a
-                            // silent close-with-no-answer.
-                            inner.metrics.accept_spawn_failures.inc();
-                            let mut w = &server_side;
-                            let _ = write_frame(
-                                &mut w,
-                                &encode_response(0, &Response::Rejected(RejectReason::Internal)),
-                            );
-                            let _ = server_side.shutdown(Shutdown::Both);
-                        }
-                    }
-                }
-                Err(e) if e.kind() == io::ErrorKind::WouldBlock => break,
-                Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
-                Err(_) => break,
-            }
-        }
-    }
-}
-
-/// Reader half of one client connection; mirrors the single-host
-/// server's handler, with dispatch resolving against the backend fleet.
-fn handle_client(inner: &Arc<Inner>, stream: TcpStream) -> Result<(), FrameError> {
-    stream.set_nodelay(true)?;
-    let mut reader = BufReader::new(stream.try_clone()?);
-    let (reply_tx, reply_rx) = mpsc::channel::<Reply>();
-    let writer_handle = {
-        let write_ns = Arc::clone(&inner.metrics.write_ns);
-        std::thread::Builder::new()
-            .name("secemb-rt-wr".into())
-            .spawn(move || write_replies(stream, &reply_rx, &write_ns))
-            .map_err(FrameError::Io)?
-    };
-    let replies = ReplySender::Thread(reply_tx.clone());
-    let result = loop {
-        let payload = match read_frame(&mut reader) {
-            Ok(p) => p,
-            Err(FrameError::Closed) => break Ok(()),
-            // Shutdown closes the stream under us; either way the
-            // connection is over.
-            Err(FrameError::Io(_)) => break Ok(()),
-            Err(e) => break Err(e),
-        };
-        match decode_client_traced(&payload) {
-            Ok((id, msg, trace)) => dispatch(inner, &replies, id, msg, trace),
-            Err(_) => break Ok(()),
-        }
-    };
-    drop(replies);
-    drop(reply_tx);
-    let _ = writer_handle.join();
-    result
-}
-
-/// Writer half: completion-ordered reply frames, flushed per burst.
-fn write_replies(stream: TcpStream, reply_rx: &mpsc::Receiver<Reply>, write_ns: &Histogram) {
-    let mut writer = BufWriter::new(stream);
-    let mut burst: Vec<Instant> = Vec::new();
-    while let Ok((t0, frame)) = reply_rx.recv() {
-        burst.clear();
-        if write_frame(&mut writer, &frame).is_err() {
-            return;
-        }
-        burst.push(t0);
-        while let Ok((t0, frame)) = reply_rx.try_recv() {
-            if write_frame(&mut writer, &frame).is_err() {
-                return;
-            }
-            burst.push(t0);
-        }
-        if writer.flush().is_err() {
-            return;
-        }
-        for t0 in &burst {
-            write_ns.record(t0.elapsed().as_nanos() as u64);
-        }
     }
 }
 

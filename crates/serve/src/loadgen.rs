@@ -67,8 +67,7 @@ pub struct LoadConfig {
     /// performs one inventory round trip at startup (so the server has
     /// fully admitted it) and then sits silent until the run ends —
     /// modeling the mostly-idle connection fleets long-lived front-ends
-    /// keep, which cost a reactor server O(1) threads but a
-    /// thread-per-connection server two threads each.
+    /// keep, which a reactor server holds at O(1) threads.
     pub idle_connections: usize,
     /// Tables to query; each request picks one uniformly at random, so a
     /// multi-entry list produces mixed traffic across shards.

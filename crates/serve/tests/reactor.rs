@@ -1,18 +1,14 @@
-//! End-to-end tests for the epoll reactor connection backend: soak
+//! End-to-end tests for the epoll reactor connection layer: soak
 //! behavior at ≥1024 mostly-idle connections with O(workers) threads,
-//! bit-identical responses vs the threaded backend under interleaved
-//! pipelining, the multi-part worker-death regression, accept-time
-//! spawn-failure accounting, and client-side idle detection.
+//! responses bit-identical to in-process generators under interleaved
+//! pipelining, the multi-part worker-death regression, and client-side
+//! idle detection.
 
 use secemb::GeneratorSpec;
-use secemb_serve::protocol::{decode_server, ServerMsg};
-use secemb_serve::{
-    Client, ConnectionBackend, Engine, EngineConfig, RejectReason, Server, TableConfig,
-};
+use secemb_serve::protocol::ServerMsg;
+use secemb_serve::{Client, Engine, EngineConfig, RejectReason, Server, TableConfig};
 use secemb_tensor::Matrix;
-use secemb_wire::frame::read_frame;
 use std::collections::HashMap;
-use std::io::{BufReader, Read};
 use std::net::{TcpListener, TcpStream};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -21,21 +17,23 @@ fn bits(m: &Matrix) -> Vec<u32> {
     m.as_slice().iter().map(|v| v.to_bits()).collect()
 }
 
+const SPECS: [GeneratorSpec; 2] = [
+    GeneratorSpec::Scan { rows: 128, dim: 8 },
+    GeneratorSpec::Dhe { rows: 96, dim: 8 },
+];
+
 fn small_engine(seed: u64) -> Arc<Engine> {
-    Arc::new(Engine::start(EngineConfig::new(vec![
-        TableConfig {
-            spec: GeneratorSpec::Scan { rows: 128, dim: 8 },
-            seed,
-            queue_capacity: 4096,
-            cost_override_ns: None,
-        },
-        TableConfig {
-            spec: GeneratorSpec::Dhe { rows: 96, dim: 8 },
-            seed,
-            queue_capacity: 4096,
-            cost_override_ns: None,
-        },
-    ])))
+    Arc::new(Engine::start(EngineConfig::new(
+        SPECS
+            .iter()
+            .map(|&spec| TableConfig {
+                spec,
+                seed,
+                queue_capacity: 4096,
+                cost_override_ns: None,
+            })
+            .collect(),
+    )))
 }
 
 /// This process's thread count, from `/proc/self/status`.
@@ -58,11 +56,22 @@ fn wait_for(mut cond: impl FnMut() -> bool, what: &str) {
     }
 }
 
-/// Runs the same interleaved pipelined request mix against one server and
+const CONNS: usize = 4;
+const REQUESTS: usize = 24;
+
+/// The `(table, indices)` the mix sends on connection `conn` at `slot`.
+fn mix_request(conn: usize, slot: usize) -> (usize, Vec<u64>) {
+    let table = (conn + slot) % 2;
+    let rows = SPECS[table].rows();
+    let indices = (0..4)
+        .map(|k| ((conn * 31 + slot * 7 + k * 13) as u64) % rows)
+        .collect();
+    (table, indices)
+}
+
+/// Runs the interleaved pipelined request mix against one server and
 /// returns the per-request embedding bits keyed by `(conn, slot)`.
 fn pipelined_mix(addr: std::net::SocketAddr) -> HashMap<(usize, usize), Vec<u32>> {
-    const CONNS: usize = 4;
-    const REQUESTS: usize = 24;
     let mut out = HashMap::new();
     let mut clients: Vec<Client> = (0..CONNS)
         .map(|_| Client::connect(addr).expect("connect"))
@@ -72,11 +81,7 @@ fn pipelined_mix(addr: std::net::SocketAddr) -> HashMap<(usize, usize), Vec<u32>
     let mut ids: Vec<Vec<u64>> = vec![Vec::new(); CONNS];
     for slot in 0..REQUESTS {
         for (conn, client) in clients.iter_mut().enumerate() {
-            let table = (conn + slot) % 2;
-            let rows = if table == 0 { 128 } else { 96 };
-            let indices: Vec<u64> = (0..4)
-                .map(|k| ((conn * 31 + slot * 7 + k * 13) as u64) % rows)
-                .collect();
+            let (table, indices) = mix_request(conn, slot);
             ids[conn].push(client.call_async(table, &indices, None).expect("send"));
         }
     }
@@ -95,30 +100,37 @@ fn pipelined_mix(addr: std::net::SocketAddr) -> HashMap<(usize, usize), Vec<u32>
     out
 }
 
+/// The same mix answered by generators built in-process from the
+/// engine's specs and seed — the reference the served bytes must match.
+fn reference_mix(seed: u64) -> HashMap<(usize, usize), Vec<u32>> {
+    let mut generators: Vec<_> = SPECS.iter().map(|spec| spec.build(seed)).collect();
+    let mut out = HashMap::new();
+    for conn in 0..CONNS {
+        for slot in 0..REQUESTS {
+            let (table, indices) = mix_request(conn, slot);
+            out.insert(
+                (conn, slot),
+                bits(&generators[table].generate_batch(&indices)),
+            );
+        }
+    }
+    out
+}
+
 /// The tentpole's soak criterion: ≥1024 concurrently open, mostly-idle
 /// connections served by O(workers) threads — opening them adds no
-/// threads at all on the reactor backend — while interleaved pipelined
-/// traffic through the same reactor stays bit-identical to a threaded
-/// server built from the same seed.
+/// threads at all — while interleaved pipelined traffic through the
+/// same reactor stays bit-identical to in-process generators built from
+/// the same specs and seed.
 #[test]
 fn soak_1024_idle_connections_o1_threads_and_bit_identical_replies() {
-    let reactor_server =
-        Server::start_with(small_engine(42), "127.0.0.1:0", ConnectionBackend::Reactor)
-            .expect("bind reactor");
-    let threaded_server =
-        Server::start_with(small_engine(42), "127.0.0.1:0", ConnectionBackend::Threaded)
-            .expect("bind threaded");
+    let server = Server::start(small_engine(42), "127.0.0.1:0").expect("bind");
 
     let before = thread_count();
     let idle: Vec<TcpStream> = (0..1024)
-        .map(|i| {
-            TcpStream::connect(reactor_server.addr()).unwrap_or_else(|e| panic!("conn {i}: {e}"))
-        })
+        .map(|i| TcpStream::connect(server.addr()).unwrap_or_else(|e| panic!("conn {i}: {e}")))
         .collect();
-    wait_for(
-        || reactor_server.connections() >= 1024,
-        "1024 accepted connections",
-    );
+    wait_for(|| server.connections() >= 1024, "1024 accepted connections");
     let after = thread_count();
     assert!(
         after <= before + 2,
@@ -127,17 +139,15 @@ fn soak_1024_idle_connections_o1_threads_and_bit_identical_replies() {
     );
 
     // Pipelined traffic interleaved with the idle fleet still held open.
-    let via_reactor = pipelined_mix(reactor_server.addr());
-    let via_threads = pipelined_mix(threaded_server.addr());
-    assert_eq!(via_reactor, via_threads, "backends disagree on embeddings");
+    let served = pipelined_mix(server.addr());
+    assert_eq!(served, reference_mix(42), "served embeddings disagree");
 
     drop(idle);
     wait_for(
-        || reactor_server.connections() == 0,
+        || server.connections() == 0,
         "idle fleet reaped after close",
     );
-    reactor_server.shutdown();
-    threaded_server.shutdown();
+    server.shutdown();
 }
 
 /// Regression for the multi-part merge panic: killing the worker that
@@ -146,61 +156,24 @@ fn soak_1024_idle_connections_o1_threads_and_bit_identical_replies() {
 /// connection — and the connection must keep serving afterwards.
 #[test]
 fn multi_part_with_dead_worker_rejects_instead_of_hanging() {
-    for backend in [ConnectionBackend::Threaded, ConnectionBackend::Reactor] {
-        let engine = small_engine(7);
-        let server = Server::start_with(Arc::clone(&engine), "127.0.0.1:0", backend).expect("bind");
-        let mut client = Client::connect(server.addr()).expect("connect");
-
-        // Poison table 1's only replica: its next batch (our part) is
-        // answered Internal and the worker dies.
-        assert!(engine.inject_worker_panic(1, 0));
-        let parts = vec![(0usize, vec![1u64, 2, 3]), (1usize, vec![4u64, 5])];
-        match client.generate_multi(&parts, None).expect("round trip") {
-            ServerMsg::Rejected(RejectReason::Internal) => {}
-            other => panic!("{backend:?}: expected Rejected(Internal), got {other:?}"),
-        }
-
-        // The connection survived the partial failure.
-        match client.generate(0, &[9, 10], None).expect("round trip") {
-            ServerMsg::Embeddings(m, _) => assert_eq!(m.shape(), (2, 8)),
-            other => panic!("{backend:?}: healthy table failed: {other:?}"),
-        }
-        server.shutdown();
-    }
-}
-
-/// A connection the threaded server cannot staff (thread-spawn failure)
-/// is counted in `ServerStats` and receives a best-effort
-/// `Rejected(Internal)` frame before the close — never a silent drop.
-#[test]
-fn spawn_failure_is_counted_and_rejected_not_silently_dropped() {
-    let engine = small_engine(3);
-    let server = Server::start_with(
-        Arc::clone(&engine),
-        "127.0.0.1:0",
-        ConnectionBackend::Threaded,
-    )
-    .expect("bind");
-    server.inject_spawn_failures(1);
-
-    let stream = TcpStream::connect(server.addr()).expect("connect");
-    let mut reader = BufReader::new(stream);
-    let payload = read_frame(&mut reader).expect("reject frame before close");
-    let (id, msg) = decode_server(&payload).expect("decodable reject");
-    assert_eq!(id, 0, "pre-request reject carries the reserved id 0");
-    assert!(
-        matches!(msg, ServerMsg::Rejected(RejectReason::Internal)),
-        "expected Rejected(Internal), got {msg:?}"
-    );
-    // And nothing but the reject: the connection is closed.
-    let mut rest = Vec::new();
-    let _ = reader.read_to_end(&mut rest);
-    assert!(rest.is_empty(), "bytes after the reject frame: {rest:?}");
-    assert_eq!(engine.stats().snapshot().accept_spawn_failures, 1);
-
-    // The failure was transient: the next connection is served normally.
+    let engine = small_engine(7);
+    let server = Server::start(Arc::clone(&engine), "127.0.0.1:0").expect("bind");
     let mut client = Client::connect(server.addr()).expect("connect");
-    assert_eq!(client.tables().expect("tables").len(), 2);
+
+    // Poison table 1's only replica: its next batch (our part) is
+    // answered Internal and the worker dies.
+    assert!(engine.inject_worker_panic(1, 0));
+    let parts = vec![(0usize, vec![1u64, 2, 3]), (1usize, vec![4u64, 5])];
+    match client.generate_multi(&parts, None).expect("round trip") {
+        ServerMsg::Rejected(RejectReason::Internal) => {}
+        other => panic!("expected Rejected(Internal), got {other:?}"),
+    }
+
+    // The connection survived the partial failure.
+    match client.generate(0, &[9, 10], None).expect("round trip") {
+        ServerMsg::Embeddings(m, _) => assert_eq!(m.shape(), (2, 8)),
+        other => panic!("healthy table failed: {other:?}"),
+    }
     server.shutdown();
 }
 

@@ -4,7 +4,7 @@
 ///
 /// Admission (validation + enqueue) happens on the accepting thread;
 /// queue/batch/generate/reply on the shard worker; write on the
-/// connection's writer thread (server-side only — in-process callers
+/// connection's reactor thread (server-side only — in-process callers
 /// see a zero write stage).
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub enum Stage {
