@@ -86,10 +86,15 @@ fn concurrent_requests_see_old_or_new_plan_never_mixed() {
     let new_seen_target = 20;
     let deadline = Instant::now() + Duration::from_secs(30);
     let engine_ref = &engine;
+    // Each submitter signals once it has seen its first old-plan output;
+    // the plan is applied only after every one has, so each is
+    // guaranteed to observe the startup plan however threads schedule.
+    let (seen_old_tx, seen_old_rx) = mpsc::channel::<()>();
     let transitions: Vec<(u64, u64)> = std::thread::scope(|s| {
         let handles: Vec<_> = submitters
             .iter()
             .map(|(table, indices)| {
+                let seen_old_tx = seen_old_tx.clone();
                 s.spawn(move || {
                     let old = reference(*table, Technique::LinearScan, indices);
                     let new = reference(*table, Technique::Dhe, indices);
@@ -104,6 +109,9 @@ fn concurrent_requests_see_old_or_new_plan_never_mixed() {
                                 "old-plan output after a new-plan output: epochs interleaved"
                             );
                             old_seen += 1;
+                            if old_seen == 1 {
+                                let _ = seen_old_tx.send(());
+                            }
                         } else if got == new {
                             new_seen += 1;
                         } else {
@@ -114,8 +122,15 @@ fn concurrent_requests_see_old_or_new_plan_never_mixed() {
                 })
             })
             .collect();
-        // Let the submitters run on the startup plan first, then swap.
-        std::thread::sleep(Duration::from_millis(30));
+        drop(seen_old_tx);
+        // A submitter that dies before signalling drops its sender, so
+        // this never blocks past the threads' own deadline; the join
+        // below then reports the panic.
+        for _ in 0..submitters.len() {
+            if seen_old_rx.recv().is_err() {
+                break;
+            }
+        }
         let epoch = engine.apply_plan(&dhe_flip_plan(1)).expect("valid plan");
         assert_eq!(epoch, 1);
         handles.into_iter().map(|h| h.join().unwrap()).collect()

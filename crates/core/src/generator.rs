@@ -126,6 +126,20 @@ pub trait EmbeddingGenerator {
     /// Panics if any index is out of range.
     fn generate_batch(&mut self, indices: &[u64]) -> Matrix;
 
+    /// [`Self::generate_batch`] with the batch split across up to
+    /// `threads` OS threads, for techniques whose queries parallelize
+    /// (scan, DHE). The result is bit-identical to `generate_batch`; the
+    /// others — ORAM accesses are inherently sequential (§V-A1) — run the
+    /// batch on the calling thread.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `threads` is zero or any index is out of range.
+    fn generate_batch_threaded(&mut self, indices: &[u64], threads: usize) -> Matrix {
+        assert!(threads > 0, "threads must be positive");
+        self.generate_batch(indices)
+    }
+
     /// Which technique this generator implements.
     fn technique(&self) -> Technique;
 

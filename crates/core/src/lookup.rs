@@ -29,24 +29,6 @@ impl IndexLookup {
     pub fn table(&self) -> &Matrix {
         &self.table
     }
-
-    /// Shared-reference batch lookup (for the threading harness).
-    ///
-    /// # Panics
-    ///
-    /// Panics if any index is out of range.
-    pub fn generate_batch_ref(&self, indices: &[u64]) -> Matrix {
-        let dim = self.table.cols();
-        let n = self.table.rows() as u64;
-        let row_bytes = (dim * 4) as u32;
-        let mut out = Matrix::zeros(indices.len(), dim);
-        for (b, &idx) in indices.iter().enumerate() {
-            assert!(idx < n, "IndexLookup: index {idx} out of range");
-            tracer::read(regions::TABLE, idx * row_bytes as u64, row_bytes);
-            out.row_mut(b).copy_from_slice(self.table.row(idx as usize));
-        }
-        out
-    }
 }
 
 impl EmbeddingGenerator for IndexLookup {
@@ -59,7 +41,16 @@ impl EmbeddingGenerator for IndexLookup {
     }
 
     fn generate_batch(&mut self, indices: &[u64]) -> Matrix {
-        self.generate_batch_ref(indices)
+        let dim = self.table.cols();
+        let n = self.table.rows() as u64;
+        let row_bytes = (dim * 4) as u32;
+        let mut out = Matrix::zeros(indices.len(), dim);
+        for (b, &idx) in indices.iter().enumerate() {
+            assert!(idx < n, "IndexLookup: index {idx} out of range");
+            tracer::read(regions::TABLE, idx * row_bytes as u64, row_bytes);
+            out.row_mut(b).copy_from_slice(self.table.row(idx as usize));
+        }
+        out
     }
 
     fn technique(&self) -> Technique {

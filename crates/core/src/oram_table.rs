@@ -68,16 +68,6 @@ impl OramTable {
             rows: table.rows() as u64,
         }
     }
-
-    /// The controller's cumulative access statistics.
-    pub fn stats(&self) -> secemb_oram::AccessStats {
-        self.oram.stats()
-    }
-
-    /// Resets the controller's statistics.
-    pub fn reset_stats(&mut self) {
-        self.oram.reset_stats();
-    }
 }
 
 impl EmbeddingGenerator for OramTable {

@@ -101,6 +101,10 @@ impl EmbeddingGenerator for LinearScan {
         self.generate_batch_ref(indices)
     }
 
+    fn generate_batch_threaded(&mut self, indices: &[u64], threads: usize) -> Matrix {
+        LinearScan::generate_batch_threaded(self, indices, threads)
+    }
+
     fn technique(&self) -> Technique {
         Technique::LinearScan
     }
@@ -122,7 +126,7 @@ mod tests {
     #[test]
     fn matches_direct_lookup() {
         let mut s = scan();
-        let direct = crate::IndexLookup::new(s.table().clone()).generate_batch_ref(&[7, 31, 0]);
+        let direct = crate::IndexLookup::new(s.table().clone()).generate_batch(&[7, 31, 0]);
         let scanned = s.generate_batch(&[7, 31, 0]);
         assert_eq!(direct, scanned);
     }
@@ -134,17 +138,6 @@ mod tests {
             s.generate_batch(&[idx]);
         });
         assert!(verdict.is_oblivious());
-    }
-
-    #[test]
-    fn threaded_matches_single() {
-        let s = scan();
-        let indices: Vec<u64> = (0..17).map(|i| (i * 7) % 32).collect();
-        let single = s.generate_batch_ref(&indices);
-        for threads in [1, 2, 3, 8] {
-            let multi = s.generate_batch_threaded(&indices, threads);
-            assert_eq!(single, multi, "threads = {threads}");
-        }
     }
 
     #[test]

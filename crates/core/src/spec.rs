@@ -145,26 +145,38 @@ impl GeneratorSpec {
         assert!(dim > 0, "GeneratorSpec: zero dim");
         let mut rng = StdRng::seed_from_u64(seed);
         match self.technique() {
-            Technique::IndexLookup => {
-                Box::new(IndexLookup::new(synthetic_table(rows, dim, &mut rng)))
-            }
-            Technique::LinearScan => {
-                Box::new(LinearScan::new(synthetic_table(rows, dim, &mut rng)))
-            }
-            Technique::PathOram => {
-                let table = synthetic_table(rows, dim, &mut rng);
-                Box::new(OramTable::path(&table, rng))
-            }
-            Technique::CircuitOram => {
-                let table = synthetic_table(rows, dim, &mut rng);
-                Box::new(OramTable::circuit(&table, rng))
-            }
             Technique::Dhe => Box::new(Dhe::new(DheConfig::varied(dim, rows), &mut rng)),
-            Technique::LaOram => {
+            technique => {
                 let table = synthetic_table(rows, dim, &mut rng);
-                Box::new(LaOramTable::new(&table, rng))
+                table_generator(technique, table, rng)
             }
         }
+    }
+}
+
+/// Builds the table-backed generator for `technique` over a table the
+/// caller already holds — synthetic weights, or a trained model's
+/// materialized embeddings (for a DHE-trained model, the paper's
+/// DHE→table conversion). The table moves in and is never copied; the
+/// ORAM techniques draw their randomness from `rng`, lookup and scan
+/// ignore it.
+///
+/// # Panics
+///
+/// Panics if the table is empty, or if `technique` is
+/// [`Technique::Dhe`], which has no table form.
+pub fn table_generator(
+    technique: Technique,
+    table: Matrix,
+    rng: StdRng,
+) -> Box<dyn EmbeddingGenerator + Send> {
+    match technique {
+        Technique::IndexLookup => Box::new(IndexLookup::new(table)),
+        Technique::LinearScan => Box::new(LinearScan::new(table)),
+        Technique::PathOram => Box::new(OramTable::path(&table, rng)),
+        Technique::CircuitOram => Box::new(OramTable::circuit(&table, rng)),
+        Technique::LaOram => Box::new(LaOramTable::new(&table, rng)),
+        Technique::Dhe => panic!("table_generator: DHE has no table form"),
     }
 }
 

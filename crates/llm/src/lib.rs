@@ -10,12 +10,13 @@
 //!   comparison trains both.
 //! - [`GptServing`] — the frozen serving path with an explicit
 //!   **prefill / decode split and a KV cache**. The token embedder is any
-//!   [`TokenEmbedder`]; greedy sampling uses the oblivious argmax, so
-//!   end-to-end generation has no secret-dependent access outside the
-//!   embedder itself (§V-C).
+//!   boxed [`secemb::EmbeddingGenerator`], built by [`Gpt::embedder`];
+//!   greedy sampling uses the oblivious argmax, so end-to-end generation
+//!   has no secret-dependent access outside the embedder itself (§V-C).
 //! - The paper's LLM hybrid (§IV-D): DHE for (large-batch) prefill and
 //!   Circuit ORAM for (batch-1) decode, both derived from one trained
-//!   model, via [`GptServing::with_embedder`].
+//!   model, via [`GptServing::set_embedder`] or the routing
+//!   [`EmbedderPolicy`].
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -28,4 +29,4 @@ mod serve;
 pub use blocks::{Block, FeedForward};
 pub use model::{Gpt, GptConfig, TokenEmbeddingKind};
 pub use policy::EmbedderPolicy;
-pub use serve::{GptServing, KvCache, TokenEmbedder};
+pub use serve::{GptServing, KvCache};

@@ -1,8 +1,9 @@
 //! The trainable GPT.
 
 use crate::blocks::Block;
-use rand::Rng;
-use secemb::{Dhe, DheConfig};
+use rand::rngs::StdRng;
+use rand::{Rng, SeedableRng};
+use secemb::{table_generator, Dhe, DheConfig, EmbeddingGenerator, Technique};
 use secemb_nn::{cross_entropy_loss, Embedding, LayerNorm, Linear, Module, Optimizer, Param};
 use secemb_tensor::Matrix;
 
@@ -175,6 +176,26 @@ impl Gpt {
         match &self.embedding {
             LlmEmbedding::Dhe(d) => Some(d),
             LlmEmbedding::Table(_) => None,
+        }
+    }
+
+    /// A serving-time token embedder of the given technique: a clone of
+    /// the trained DHE, or [`table_generator`] over the
+    /// [`token_table`](Self::token_table) (for a DHE-trained model, the
+    /// paper's DHE→table conversion for the LLM hybrid). `seed` drives
+    /// the ORAMs.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `Technique::Dhe` is requested from a table-trained model.
+    pub fn embedder(&self, technique: Technique, seed: u64) -> Box<dyn EmbeddingGenerator + Send> {
+        match technique {
+            Technique::Dhe => Box::new(
+                self.dhe()
+                    .expect("Technique::Dhe requires a DHE-trained model")
+                    .clone(),
+            ),
+            _ => table_generator(technique, self.token_table(), StdRng::seed_from_u64(seed)),
         }
     }
 

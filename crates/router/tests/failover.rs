@@ -368,15 +368,15 @@ fn gossip_spawn_failure_degrades_to_inline_gossip() {
         1.0,
         "spawn failure must be counted:\n{metrics}"
     );
-    // The stats tick runs gossip inline: after the rate-limit interval,
-    // a stats scrape drives at least one round.
-    std::thread::sleep(Duration::from_millis(20));
-    client.stats_json().expect("stats");
-    std::thread::sleep(Duration::from_millis(20));
-    client.stats_json().expect("stats");
-    let metrics = client.metrics_text().expect("metrics");
-    assert!(
-        metric(&metrics, "router_gossip_rounds_total") >= 1.0,
-        "inline gossip must run on the stats tick:\n{metrics}"
+    // The stats tick runs gossip inline: once the rate-limit interval
+    // has passed, a stats scrape drives at least one round.
+    wait_for(
+        "inline gossip on the stats tick",
+        Duration::from_secs(10),
+        || {
+            client.stats_json().expect("stats");
+            let metrics = client.metrics_text().expect("metrics");
+            metric(&metrics, "router_gossip_rounds_total") >= 1.0
+        },
     );
 }

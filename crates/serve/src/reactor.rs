@@ -358,7 +358,11 @@ fn run_loop(
     let mut read_buf = vec![0u8; 64 * 1024];
     let mut dead: Vec<usize> = Vec::new();
 
-    loop {
+    // `stop` is re-checked after every pass, not only after `poll`
+    // returns: a shutdown wake that lands between the post-poll check and
+    // this pass's waker drain is drained here, so the next `poll` could
+    // otherwise block forever with `stop` already set.
+    while !stop.load(Ordering::SeqCst) {
         let wait_start = Instant::now();
         if poll.poll(&mut events, poll_timeout).is_err() {
             // Unrecoverable epoll failure; nothing to serve without it.
